@@ -172,10 +172,10 @@ class DensityComputer:
         nodes = np.asarray(
             list(int(node) for node in reference_nodes), dtype=np.int64
         )
-        # One grouped multi-source BFS instead of one Python-level BFS per
-        # reference node: every block of reference vicinities is expanded by
-        # vectorised frontier passes and all events' occurrence counts fall
-        # out of a single matrix product per block.
+        # One grouped BFS instead of one Python-level BFS per reference
+        # node: every block of reference vicinities is one sparse
+        # reachability matrix grown hop by hop, and all events' occurrence
+        # counts fall out of a single matrix product per block.
         counts, sizes = self.engine.grouped_marked_counts(nodes, level, indicators)
         densities = densities_from_counts(counts, sizes)
         return DensityMatrix(

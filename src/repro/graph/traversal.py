@@ -10,17 +10,25 @@ Four entry points implement the traversals used throughout the paper:
 * :class:`BFSEngine` — a reusable-buffer engine holding the visit-stamp array
   so repeated BFS calls (thousands per test) allocate nothing proportional to
   ``|V|``, with level-synchronous vectorised frontier expansion.
-* The *grouped* multi-source BFS (:meth:`BFSEngine.grouped_vicinity_blocks`
-  and friends): many independent per-source BFS runs advanced together as one
-  numpy frontier of ``(source, node)`` pairs, so workloads that need one
-  vicinity per node (the vicinity-size index, the density pass over a
-  reference sample, importance-weight correction) replace their per-node
-  Python loops with a handful of vectorised level expansions.
+* The *grouped* per-source BFS (:meth:`BFSEngine.grouped_marked_counts`,
+  :meth:`BFSEngine.vicinity_sizes`, :meth:`BFSEngine.grouped_vicinity_blocks`)
+  for workloads that need one vicinity per node: the vicinity-size index, the
+  density pass over a reference sample, importance-weight correction.  It is
+  a block-row boolean sparse product.  A block of sources starts as its
+  one-hot rows and takes ``h`` steps ``reach ← reach · (A + I)``, each
+  followed by setting every stored value back to 1.  Row ``i`` then holds
+  exactly ``V^h`` of source ``i``, so ``|V^h_r|`` is the row's entry count and
+  the Eq. 2 numerators of every event are one product ``reach · marks`` with
+  the ``(num_nodes, num_events)`` incidence matrix.  Resetting the values
+  each hop keeps them from counting paths (which grow like ``deg^h`` and
+  would overflow); every product entry stays at most ``deg + 1``.  Memory is
+  bounded by the block's row count (:data:`GROUPED_BLOCK_BYTES`), and
+  ``nnz(reach) = Σ|V^h_r|`` over the block: the same nodes a BFS visits.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +36,9 @@ from repro.exceptions import NodeNotFoundError
 from repro.graph.csr import CSRGraph
 from repro.utils import deadlines
 from repro.utils.validation import check_non_negative_int
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def _expand_frontier(
@@ -51,33 +62,11 @@ def _expand_frontier(
     return indices[flat], total
 
 
-def _expand_frontier_grouped(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Gather neighbours of a grouped frontier of ``(row, node)`` pairs.
-
-    ``rows[i]`` identifies which source's BFS the frontier node ``cols[i]``
-    belongs to.  Returns the expanded ``(row, neighbour)`` pairs (with
-    duplicates) plus the number of adjacency entries scanned.
-    """
-    starts = indptr[cols]
-    lengths = indptr[cols + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, 0
-    cumulative = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    flat = np.arange(total, dtype=np.int64) - np.repeat(cumulative, lengths)
-    flat += np.repeat(starts, lengths)
-    return np.repeat(rows, lengths), indices[flat], total
-
-
-#: Memory budget (bytes) for the per-block visit-stamp matrix of the grouped
-#: BFS.  The block advances ``budget / (4 * num_nodes)`` sources together, so
-#: the grouped traversal's working set stays flat regardless of graph size.
+#: Memory budget (bytes) that sizes the row blocks of the grouped BFS.  A
+#: block advances ``budget / (4 * num_nodes)`` sources together, so its
+#: reachability matrix holds at most ``budget / 4`` entries (a dense int32
+#: block would fill the budget) and the working set stays flat regardless of
+#: graph size.  In practice ``nnz(reach) = Σ|V^h_r|`` is far smaller.
 GROUPED_BLOCK_BYTES = 32_000_000
 
 
@@ -181,103 +170,72 @@ class BFSEngine:
             raise NodeNotFoundError(int(bad))
         return source_array
 
-    def _grouped_blocks(
+    def _grouped_reach(
         self,
         sources: np.ndarray,
         hops: int,
         block_size: Optional[int],
-    ) -> Iterator[Tuple[int, np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray]]]]:
-        """Shared driver of the grouped per-source BFS.
+    ) -> Iterator[Tuple[int, sparse.csr_matrix]]:
+        """Shared core of the grouped per-source BFS (see the module
+        docstring for the sparse-product kernel and its memory bound).
 
-        Splits ``sources`` into blocks sized to the
-        :data:`GROUPED_BLOCK_BYTES` stamp-matrix budget and yields
-        ``(offset, block, levels)`` where ``levels`` iterates the fresh
-        ``(rows, cols)`` pairs of each BFS level (level 0 first; ``rows`` are
-        block-local source indices, ascending within a level).  Each level is
-        one vectorised expand/filter/dedup pass over the whole block; the
-        stamp matrix gives O(1) visited tests without any per-level sorting
-        of previously seen nodes.  ``levels`` must be fully consumed before
-        the next block is requested (the stamp matrix is reused).
+        Splits ``sources`` into row blocks sized to the
+        :data:`GROUPED_BLOCK_BYTES` budget and yields ``(offset, reach)`` per
+        block, where ``reach`` is the block's ``(len(block), num_nodes)``
+        reachability matrix: row ``i`` stores exactly ``V^h`` of
+        ``sources[offset + i]``, every value 1.
 
         ``sources`` must already be validated by :meth:`_check_sources` —
         every public entry point validates exactly once.
         """
         hops = check_non_negative_int(hops, "hops")
         num_nodes = self.graph.num_nodes
-        source_array = sources
         if block_size is None:
             block_size = max(1, GROUPED_BLOCK_BYTES // (4 * max(num_nodes, 1)))
         block_size = max(1, check_non_negative_int(block_size, "block_size"))
+        if sources.size == 0:
+            return
+        from scipy import sparse  # deferred: the import costs ~0.3 s
 
-        visited: Optional[np.ndarray] = None
-        for index, offset in enumerate(range(0, source_array.size, block_size)):
+        # ``A + I`` once per call, straight from the CSR arrays: each row
+        # starts with its own node, then its neighbours (a product does not
+        # need sorted rows).
+        indptr, indices = self.graph.indptr, self.graph.indices
+        degrees = np.diff(indptr)
+        step_indptr = (indptr + np.arange(num_nodes + 1)).astype(np.int32)
+        step_indices = np.empty(indices.size + num_nodes, dtype=np.int32)
+        own = step_indptr[:-1]
+        step_indices[own] = np.arange(num_nodes)
+        neighbour = np.ones(step_indices.size, dtype=bool)
+        neighbour[own] = False
+        step_indices[neighbour] = indices
+        step = sparse.csr_matrix(
+            (np.ones(step_indices.size, dtype=np.int32), step_indices, step_indptr),
+            shape=(num_nodes, num_nodes),
+        )
+        for offset in range(0, sources.size, block_size):
             # Each block is the grouped pass's natural cancellation grain:
             # one cheap contextvar read per block, no per-node cost.
             deadlines.checkpoint()
-            block = source_array[offset:offset + block_size]
-            if visited is None:
-                visited = np.zeros(
-                    (min(block_size, source_array.size), num_nodes),
-                    dtype=np.int32,
-                )
+            block = sources[offset:offset + block_size]
+            reach = sparse.csr_matrix(
+                (
+                    np.ones(block.size, dtype=np.int32),
+                    block.astype(np.int32),
+                    np.arange(block.size + 1, dtype=np.int32),
+                ),
+                shape=(block.size, num_nodes),
+            )
+            for _ in range(hops):
+                self.edges_scanned += int(degrees[reach.indices].sum())
+                grown = reach @ step
+                grown.data[:] = 1  # never count paths: see the module docstring
+                if grown.nnz == reach.nnz:
+                    break  # every vicinity in the block is closed
+                reach = grown
             self.bfs_calls += block.size
-            # Each block consumes ``hops + 1`` stamp values (one per level).
-            base_stamp = np.int32(1 + index * (hops + 1))
-            yield offset, block, self._grouped_levels(
-                block, hops, visited, base_stamp
-            )
-
-    def _grouped_levels(
-        self,
-        block: np.ndarray,
-        hops: int,
-        visited: np.ndarray,
-        base_stamp: np.int32,
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        indptr, indices = self.graph.indptr, self.graph.indices
-        num_nodes = self.graph.num_nodes
-        rows = np.arange(block.size, dtype=np.int64)
-        cols = block
-        visited[rows, cols] = base_stamp
-        self.nodes_scanned += int(rows.size)
-        yield rows, cols
-        stamp = base_stamp
-        block_flat = visited[:block.size].reshape(-1)
-        for _ in range(hops):
-            if cols.size == 0:
-                return
-            rows, cols, scanned = _expand_frontier_grouped(
-                indptr, indices, rows, cols
-            )
-            self.edges_scanned += scanned
-            if cols.size == 0:
-                return
-            # Freshness is one stamp gather (values >= base_stamp were
-            # visited at an earlier level of this block); duplicates among
-            # the fresh candidates are collapsed by the scatter itself, and
-            # the deduplicated frontier is recovered — already sorted
-            # row-major — by one flat scan for the level's stamp.  No sort
-            # ever touches the candidate stream.
-            seen = visited[rows, cols] >= base_stamp
-            rows = rows[~seen]
-            cols = cols[~seen]
-            if rows.size == 0:
-                return
-            stamp = np.int32(stamp + 1)
-            if rows.size * 512 < block_flat.size:
-                # Sparse level: sorting the (few) fresh candidates beats
-                # scanning the whole stamp matrix.
-                keys = np.unique(rows * num_nodes + cols)
-                rows = keys // num_nodes
-                cols = keys - rows * num_nodes
-                visited[rows, cols] = stamp
-            else:
-                visited[rows, cols] = stamp
-                flat = np.flatnonzero(block_flat == stamp)
-                rows = flat // num_nodes
-                cols = flat - rows * num_nodes
-            self.nodes_scanned += int(rows.size)
-            yield rows, cols
+            self.nodes_scanned += int(reach.nnz)
+            yield offset, reach
 
     def grouped_vicinity_blocks(
         self,
@@ -289,33 +247,23 @@ class BFSEngine:
 
         Unlike :meth:`multi_source_vicinity` (which merges all sources into
         one traversal), this runs one *independent* BFS per source, but
-        advances a whole block of them together: each level is one vectorised
-        expand/filter/dedup pass over a flat frontier of ``(source, node)``
-        pairs, so the Python interpreter executes ``O(hops)`` statements per
-        block instead of ``O(hops)`` per source.
+        advances a whole block of them together as one sparse
+        reachability matrix, so the Python interpreter executes ``O(hops)``
+        statements per block instead of ``O(hops)`` per source.
 
         Yields ``(offset, offsets, members)`` triples in CSR layout: the
         vicinity of ``sources[offset + i]`` is the sorted id array
         ``members[offsets[i]:offsets[i + 1]]``.
         """
-        num_nodes = self.graph.num_nodes
-        for offset, block, levels in self._grouped_blocks(
+        for offset, reach in self._grouped_reach(
             self._check_sources(sources), hops, block_size
         ):
-            collected = [rows * num_nodes + cols for rows, cols in levels]
-            keys = (
-                np.sort(np.concatenate(collected))
-                if len(collected) > 1
-                else np.sort(collected[0])
+            reach.sort_indices()
+            yield (
+                offset,
+                reach.indptr.astype(np.int64),
+                reach.indices.astype(np.int64),
             )
-            # Row-major keys: sorting groups members by source, ids ascending.
-            member_rows = keys // num_nodes
-            members = keys - member_rows * num_nodes
-            offsets = np.zeros(block.size + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(member_rows, minlength=block.size), out=offsets[1:]
-            )
-            yield offset, offsets, members
 
     def vicinity_sizes(
         self,
@@ -330,13 +278,8 @@ class BFSEngine:
         """
         source_array = self._check_sources(sources)
         sizes = np.zeros(source_array.size, dtype=np.int64)
-        for offset, block, levels in self._grouped_blocks(
-            source_array, hops, block_size
-        ):
-            for rows, _cols in levels:
-                sizes[offset:offset + block.size] += np.bincount(
-                    rows, minlength=block.size
-                )
+        for offset, reach in self._grouped_reach(source_array, hops, block_size):
+            sizes[offset:offset + reach.shape[0]] = np.diff(reach.indptr)
         return sizes
 
     def grouped_marked_counts(
@@ -352,40 +295,38 @@ class BFSEngine:
         per event).  Returns ``(counts, sizes)`` where ``counts[m, s]`` is the
         number of marked nodes of marking ``m`` inside ``V^h_{sources[s]}``
         and ``sizes[s] = |V^h_{sources[s]}|`` — the numerators and
-        denominators of Eq. 2 for a whole reference sample at once.  Per BFS
-        level, the counts of *all* markings are one fancy-indexed gather plus
-        one segmented reduction instead of one Python loop iteration per
-        reference node.
+        denominators of Eq. 2 for a whole reference sample at once.  Per
+        block, the counts of *all* markings are one sparse product of the
+        block's reachability matrix with the ``(num_nodes, num_markings)``
+        incidence matrix of the markings.
         """
         source_array = self._check_sources(sources)
-        # int32 keeps the gathered slices small; per-segment sums are bounded
-        # by num_nodes, which always fits.
-        indicators = np.ascontiguousarray(indicator_matrix, dtype=np.int32)
+        indicators = np.asarray(indicator_matrix)
         if indicators.ndim != 2 or indicators.shape[1] != self.graph.num_nodes:
             raise ValueError(
                 "indicator_matrix must have shape (num_markings, num_nodes), "
                 f"got {indicators.shape}"
             )
-        counts = np.zeros((indicators.shape[0], source_array.size), dtype=np.int64)
+        from scipy import sparse  # deferred: the import costs ~0.3 s
+
+        num_markings = indicators.shape[0]
+        # The ``(num_nodes, num_markings)`` incidence matrix is built from the
+        # marked cells alone: their row-major positions already form the
+        # CSR layout of the indicator rows, whose transpose is the incidence.
+        marked = np.flatnonzero(indicators)
+        marking, node = np.divmod(marked, self.graph.num_nodes)
+        by_marking = np.zeros(num_markings + 1, dtype=np.int64)
+        np.cumsum(np.bincount(marking, minlength=num_markings), out=by_marking[1:])
+        marks = sparse.csr_matrix(
+            (indicators.reshape(-1)[marked].astype(np.int64), node, by_marking),
+            shape=(num_markings, self.graph.num_nodes),
+        ).T.tocsr()
+        counts = np.zeros((num_markings, source_array.size), dtype=np.int64)
         sizes = np.zeros(source_array.size, dtype=np.int64)
-        for offset, block, levels in self._grouped_blocks(
-            source_array, hops, block_size
-        ):
-            for rows, cols in levels:
-                sizes[offset:offset + block.size] += np.bincount(
-                    rows, minlength=block.size
-                )
-                if not indicators.shape[0]:
-                    continue
-                # ``rows`` is ascending within a level, so a reduceat over
-                # the row-change boundaries sums each source's segment.
-                boundaries = np.concatenate(
-                    ([0], np.flatnonzero(np.diff(rows)) + 1)
-                )
-                row_ids = rows[boundaries]
-                counts[:, offset + row_ids] += np.add.reduceat(
-                    indicators[:, cols], boundaries, axis=1
-                )
+        for offset, reach in self._grouped_reach(source_array, hops, block_size):
+            stop = offset + reach.shape[0]
+            sizes[offset:stop] = np.diff(reach.indptr)
+            counts[:, offset:stop] = (reach @ marks).toarray().T
         return counts, sizes
 
     def vicinity_size(self, source: int, hops: int) -> int:

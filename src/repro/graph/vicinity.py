@@ -57,10 +57,10 @@ class VicinityIndex:
     def precompute(self, level: Optional[int] = None) -> None:
         """Compute sizes for every node (the paper's offline pass).
 
-        The pass runs through the grouped multi-source BFS
+        The pass runs through the grouped BFS
         (:meth:`~repro.graph.traversal.BFSEngine.vicinity_sizes`), which
-        advances a whole block of per-node searches per vectorised frontier
-        expansion instead of looping one Python BFS per node.
+        advances a whole block of per-node searches per sparse matrix
+        product instead of looping one Python BFS per node.
         """
         levels = [level] if level is not None else list(self.levels)
         for lvl in levels:

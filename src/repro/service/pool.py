@@ -40,6 +40,7 @@ deterministically.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import threading
@@ -340,15 +341,27 @@ class PersistentWorkerPool:
 
     @staticmethod
     def _kill_worker(executor: ProcessPoolExecutor, index: int) -> bool:
-        """SIGKILL one live worker (chaos only; selected by sorted-pid index)."""
-        processes = getattr(executor, "_processes", None) or {}
+        """SIGKILL one live worker (chaos only; selected by sorted-pid index).
+
+        Returns only once the victim has exited and the executor reports
+        itself broken, so the batch being dispatched always meets the break.
+        Returning straight after the signal would race: a surviving worker
+        could finish the whole batch before the executor noticed the death.
+        """
+        processes = dict(getattr(executor, "_processes", None) or {})
         pids = sorted(processes.keys())
         if not pids:
             return False
+        victim = processes[pids[index % len(pids)]]
         try:
-            os.kill(pids[index % len(pids)], signal.SIGKILL)
+            os.kill(victim.pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
             return False
+        # Both waits are bounded, so a wedged executor cannot hang dispatch.
+        deadline = time.monotonic() + 10.0
+        multiprocessing.connection.wait([victim.sentinel], timeout=10.0)
+        while not getattr(executor, "_broken", True) and time.monotonic() < deadline:
+            time.sleep(0.001)
         return True
 
     # -- health -------------------------------------------------------------

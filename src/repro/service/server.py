@@ -315,30 +315,32 @@ class CorrelationServer:
 
     def _serve_connection(self, connection: socket.socket) -> None:
         try:
-            reader = connection.makefile("rb")
-            for line in reader:
-                if not line.strip():
-                    continue
-                rule = faults.inject(faults.SOCKET_RECV)
-                if rule is not None and rule.action == "drop":
-                    # Connection dies before the request is processed.
-                    break
-                response = self._handle_line(line)
-                method = response.pop("_method", None)
-                rule = faults.inject(faults.SOCKET_SEND, method=method)
-                if rule is not None and rule.action == "drop":
-                    # Connection dies after processing but before the
-                    # response is written — the case rid-dedup exists for.
-                    break
-                try:
-                    connection.sendall(encode(response))
-                except OSError:
-                    break  # client went away mid-response
-                if response.pop("_shutdown", False):
-                    # Shutdown acknowledged; tear the server down from a
-                    # helper thread so this connection can finish cleanly.
-                    threading.Thread(target=self.close, daemon=True).start()
-                    break
+            # Closing the reader as well as the socket: an open makefile()
+            # reader defers the socket's real close to garbage collection.
+            with connection.makefile("rb") as reader:
+                for line in reader:
+                    if not line.strip():
+                        continue
+                    rule = faults.inject(faults.SOCKET_RECV)
+                    if rule is not None and rule.action == "drop":
+                        # Connection dies before the request is processed.
+                        break
+                    response = self._handle_line(line)
+                    method = response.pop("_method", None)
+                    rule = faults.inject(faults.SOCKET_SEND, method=method)
+                    if rule is not None and rule.action == "drop":
+                        # Connection dies after processing but before the
+                        # response is written — the case rid-dedup exists for.
+                        break
+                    try:
+                        connection.sendall(encode(response))
+                    except OSError:
+                        break  # client went away mid-response
+                    if response.pop("_shutdown", False):
+                        # Shutdown acknowledged; tear the server down from a
+                        # helper thread so this connection can finish cleanly.
+                        threading.Thread(target=self.close, daemon=True).start()
+                        break
         except OSError:  # pragma: no cover - connection reset races
             pass
         finally:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.convert import to_networkx
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.traversal import (
     BFSEngine,
@@ -219,3 +220,123 @@ class TestGroupedBfs:
         )
         assert counts.shape == (2, 0)
         assert sizes.size == 0
+
+
+def _complete_bipartite_csr(side: int) -> CSRGraph:
+    """``K_{side,side}``: nodes ``0..side-1`` each link to every node of
+    ``side..2*side-1``."""
+    left = np.arange(side, dtype=np.int64)
+    right = left + side
+    indices = np.concatenate([np.tile(right, side), np.tile(left, side)])
+    indptr = np.arange(2 * side + 1, dtype=np.int64) * side
+    return CSRGraph(indptr, indices)
+
+
+class TestGroupedKernelEdgeCases:
+    """Cases the sparse-product grouped kernel must get exactly right, each
+    checked against the single-source BFS."""
+
+    @staticmethod
+    def _per_node(csr, sources, hops, indicators):
+        reference = BFSEngine(csr)
+        counts = np.zeros((indicators.shape[0], len(sources)), dtype=np.int64)
+        sizes = np.zeros(len(sources), dtype=np.int64)
+        for column, source in enumerate(sources):
+            nodes = reference.vicinity(int(source), hops)
+            sizes[column] = nodes.size
+            counts[:, column] = indicators[:, nodes].sum(axis=1)
+        return counts, sizes
+
+    @pytest.mark.parametrize("hops", [3, 4])
+    def test_path_multiplicities_beyond_int16_do_not_distort(self, hops):
+        side = 300
+        # Between two nodes on the same side there are at least side**2
+        # walks of length 3: far more than 2**16, so an un-binarised reach
+        # matrix would carry huge path counts instead of ones.
+        assert side ** (hops - 1) > 2 ** 16
+        csr = _complete_bipartite_csr(side)
+        rng = np.random.default_rng(5)
+        sources = rng.choice(csr.num_nodes, size=50, replace=False)
+        indicators = rng.random((2, csr.num_nodes)) < 0.1
+        counts, sizes = BFSEngine(csr).grouped_marked_counts(
+            sources, hops, indicators, block_size=16
+        )
+        expected_counts, expected_sizes = self._per_node(
+            csr, sources, hops, indicators
+        )
+        np.testing.assert_array_equal(sizes, expected_sizes)
+        np.testing.assert_array_equal(counts, expected_counts)
+
+    def test_duplicate_sources_across_a_block_boundary(self, random_graph):
+        csr = random_graph.to_csr()
+        # block_size=3 puts the copies of 7 and of 40 in different blocks.
+        sources = np.array([5, 12, 7, 7, 40, 5, 40], dtype=np.int64)
+        indicators = np.random.default_rng(3).random((3, csr.num_nodes)) < 0.3
+        engine = BFSEngine(csr)
+        counts, sizes = engine.grouped_marked_counts(
+            sources, 2, indicators, block_size=3
+        )
+        expected_counts, expected_sizes = self._per_node(
+            csr, sources, 2, indicators
+        )
+        np.testing.assert_array_equal(sizes, expected_sizes)
+        np.testing.assert_array_equal(counts, expected_counts)
+        np.testing.assert_array_equal(
+            engine.vicinity_sizes(sources, 2, block_size=3), expected_sizes
+        )
+
+    @pytest.mark.parametrize("hops", [0, 2])
+    def test_isolated_nodes_and_zero_hops(self, hops):
+        # Nodes 0-2 form a path, 3-5 are isolated.
+        csr = CSRGraph(
+            np.array([0, 1, 3, 4, 4, 4, 4], dtype=np.int64),
+            np.array([1, 0, 2, 1], dtype=np.int64),
+        )
+        sources = np.arange(6, dtype=np.int64)
+        indicators = np.zeros((2, 6), dtype=bool)
+        indicators[0, [0, 4]] = True
+        indicators[1, [2, 3, 5]] = True
+        counts, sizes = BFSEngine(csr).grouped_marked_counts(
+            sources, hops, indicators
+        )
+        expected_counts, expected_sizes = self._per_node(
+            csr, sources, hops, indicators
+        )
+        np.testing.assert_array_equal(sizes, expected_sizes)
+        np.testing.assert_array_equal(counts, expected_counts)
+        assert list(sizes[3:]) == [1, 1, 1]
+        if hops == 0:
+            np.testing.assert_array_equal(counts, indicators.astype(np.int64))
+
+    def test_indicator_rows_without_marks(self, random_graph):
+        csr = random_graph.to_csr()
+        sources = np.arange(0, csr.num_nodes, 7, dtype=np.int64)
+        engine = BFSEngine(csr)
+        indicators = np.zeros((3, csr.num_nodes), dtype=bool)
+        indicators[1, ::5] = True
+        counts, sizes = engine.grouped_marked_counts(sources, 2, indicators)
+        assert not counts[0].any() and not counts[2].any()
+        expected_counts, expected_sizes = self._per_node(
+            csr, sources, 2, indicators
+        )
+        np.testing.assert_array_equal(counts, expected_counts)
+        np.testing.assert_array_equal(sizes, expected_sizes)
+        no_markings, same_sizes = engine.grouped_marked_counts(
+            sources, 2, np.zeros((0, csr.num_nodes), dtype=bool)
+        )
+        assert no_markings.shape == (0, sources.size)
+        np.testing.assert_array_equal(same_sizes, expected_sizes)
+
+    def test_counters_match_sources_and_sizes(self, random_graph):
+        csr = random_graph.to_csr()
+        sources = np.random.default_rng(9).choice(csr.num_nodes, size=45)
+        engine = BFSEngine(csr)
+        _counts, sizes = engine.grouped_marked_counts(
+            sources, 2, np.ones((1, csr.num_nodes), dtype=bool), block_size=10
+        )
+        assert engine.bfs_calls == len(sources)
+        assert engine.nodes_scanned == sizes.sum()
+        engine.reset_counters()
+        sizes = engine.vicinity_sizes(sources, 3, block_size=10)
+        assert engine.bfs_calls == len(sources)
+        assert engine.nodes_scanned == sizes.sum()

@@ -1,14 +1,17 @@
 """Server protocol edge cases, lifecycle, and shared-memory hygiene."""
 
 import errno
+import gc
 import json
 import socket
+import threading
 import time
+import warnings
 
 import pytest
 
 from repro.service.client import CorrelationClient
-from repro.service.protocol import BadRequestError, RemoteError
+from repro.service.protocol import BadRequestError, OverloadedError, RemoteError
 from repro.service.server import CorrelationServer
 from repro.streaming.dynamic_graph import DynamicAttributedGraph
 
@@ -158,3 +161,55 @@ class TestStatusAndLifecycle:
         with pytest.raises(RemoteError):
             client.ping()
         client.close()
+
+
+class TestSocketHygiene:
+    def test_connection_cycles_leak_no_socket(self, service_dataset):
+        """Connect/rank/close cycles leave no unclosed socket behind.
+
+        Each rank is rejected with a 429 while a held request fills the only
+        slot; the rejection leaves a reference cycle that keeps the serving
+        thread's frame alive until garbage collection, so only an explicit
+        close of each connection keeps the collector from finding it open.
+        """
+        dataset, config = service_dataset
+        release = threading.Event()
+        entered = threading.Event()
+
+        def throttle(_method):
+            entered.set()
+            release.wait(timeout=30.0)
+
+        server = CorrelationServer(
+            dataset.attributed, config, workers=1,
+            max_concurrency=1, max_queue=0, throttle=throttle,
+        )
+        server.start()
+        host, port = server.address
+
+        def hold_the_slot():
+            with CorrelationClient(host, port) as client:
+                client.rank([("bg_0", "bg_1")])
+
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                holder = threading.Thread(target=hold_the_slot)
+                holder.start()
+                assert entered.wait(timeout=30.0)
+                for _ in range(8):
+                    with CorrelationClient(host, port) as client:
+                        with pytest.raises(OverloadedError):
+                            client.rank([("bg_0", "bg_1")])
+                release.set()
+                holder.join(timeout=30.0)
+                deadline = time.monotonic() + 30
+                while server._connections and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not server._connections
+                gc.collect()
+        finally:
+            release.set()
+            server.close()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaked == []
