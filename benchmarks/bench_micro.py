@@ -7,11 +7,13 @@ independently of the full experiments.
 """
 
 import itertools
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.core.batch import BatchTescEngine
 from repro.core.config import TescConfig
 from repro.core.estimators import plain_estimate
@@ -25,7 +27,7 @@ from repro.graph.traversal import BFSEngine
 from repro.graph.vicinity import VicinityIndex
 from repro.sampling.registry import create_sampler
 from repro.stats.kendall import pair_concordance_sum, weighted_pair_concordance
-from repro.streaming import Delta, ContinuousRanker, DeltaBatch, DynamicAttributedGraph
+from repro.streaming import Delta, DeltaBatch, DynamicAttributedGraph
 
 GRAPH = make_twitter_like(num_nodes=20_000, edges_per_node=8, random_state=1)
 EVENT_NODES = np.random.default_rng(2).choice(GRAPH.num_nodes, size=5_000, replace=False)
@@ -395,8 +397,9 @@ def test_rank_pairs_parallel_fifty(benchmark, workers):
 # realistic streaming commit, via the mutation helpers' delta reporting) and
 # refreshes the ranking at h=2.  The full path rebuilds the attributed graph
 # and ranks from scratch; the streaming path commits the same batch through
-# ContinuousRanker, which recomputes only the dirtied density columns.  Both
-# produce bit-identical rankings (asserted below).
+# a Session and ranks again, and the engine's matrix layer carries every
+# density column the commit left clean, recomputing only the dirtied ones.
+# Both produce bit-identical rankings (asserted below).
 #
 # (Until the O(n log n) Kendall kernels landed, this case ran 1% churn at
 # h=1 and measured ~25-35x: the full path was dominated by O(n²) estimate
@@ -445,72 +448,91 @@ def test_rank_full_rerank_after_churn(benchmark):
     benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
 
 
-def test_rank_incremental_rerank_after_churn(benchmark):
-    """The same churn committed through the streaming ContinuousRanker."""
+def _stream_session():
+    """A session over the churn workload, warmed by one initial rank."""
     dynamic = DynamicAttributedGraph(
         STREAM_DATASET.graph.copy(), STREAM_DATASET.attributed.events.copy()
     )
-    ranker = ContinuousRanker(dynamic, STREAM_PAIRS, STREAM_CONFIG)
-    ranker.commit()  # initial ranking warms the column cache
+    session = Session(dynamic, STREAM_CONFIG)
+    session.rank(STREAM_PAIRS)  # caches the matrix later commits carry from
+    return session
+
+
+def _commit_then_rank(session, batch):
+    session.commit(batch)
+    return session.rank(STREAM_PAIRS)
+
+
+def test_rank_incremental_rerank_after_churn(benchmark):
+    """The same churn committed through ``Session.commit -> Session.rank``."""
+    session = _stream_session()
     mutable = STREAM_DATASET.graph.copy()
 
     def setup():
-        return (_churn_batch(mutable, next(_STREAM_SEEDS)),), {}
+        return (session, _churn_batch(mutable, next(_STREAM_SEEDS))), {}
 
-    benchmark.pedantic(
-        lambda batch: ranker.commit(batch), setup=setup, rounds=3, iterations=1
-    )
+    try:
+        benchmark.pedantic(_commit_then_rank, setup=setup, rounds=3, iterations=1)
+    finally:
+        session.close()
 
 
 def test_incremental_rerank_beats_full_rerank():
     """The streaming acceptance bar, measured directly: after a small
-    edge-churn commit on the 20k-node graph at h=2, the streaming commit
-    must be >= 5x faster than a full ``rank_pairs`` re-rank — while
-    returning the bit-identical ranking (~6-8x measured; three rounds damp
-    scheduler noise and the best round is asserted)."""
-    dynamic = DynamicAttributedGraph(
-        STREAM_DATASET.graph.copy(), STREAM_DATASET.attributed.events.copy()
-    )
-    ranker = ContinuousRanker(dynamic, STREAM_PAIRS, STREAM_CONFIG)
-    ranker.commit()
+    edge-churn commit on the 20k-node graph at h=2, ``Session.commit``
+    followed by ``Session.rank`` must be >= 5x faster than a full
+    ``rank_pairs`` re-rank — while returning the bit-identical ranking
+    (three rounds damp scheduler noise and the best round is asserted)."""
+    session = _stream_session()
     mutable = STREAM_DATASET.graph.copy()
+    metric = session.metrics.value
 
     speedups = []
-    for round_id in range(3):
-        batch = _churn_batch(mutable, 2000 + round_id)
+    try:
+        for round_id in range(3):
+            batch = _churn_batch(mutable, 2000 + round_id)
 
-        started = time.perf_counter()
-        attributed = AttributedGraph(
-            mutable, STREAM_DATASET.attributed.events.copy()
-        )
-        full = BatchTescEngine(attributed, STREAM_CONFIG).rank_pairs(STREAM_PAIRS)
-        full_seconds = time.perf_counter() - started
+            started = time.perf_counter()
+            attributed = AttributedGraph(
+                mutable, STREAM_DATASET.attributed.events.copy()
+            )
+            full = BatchTescEngine(attributed, STREAM_CONFIG).rank_pairs(
+                STREAM_PAIRS
+            )
+            full_seconds = time.perf_counter() - started
 
-        started = time.perf_counter()
-        delta = ranker.commit(batch)
-        incremental_seconds = time.perf_counter() - started
+            carried = metric("tesc_density_columns_total", source="carried")
+            computed = metric("tesc_density_columns_total", source="computed")
+            started = time.perf_counter()
+            response = _commit_then_rank(session, batch)
+            incremental_seconds = time.perf_counter() - started
+            carried = metric("tesc_density_columns_total", source="carried") - carried
+            computed = (
+                metric("tesc_density_columns_total", source="computed") - computed
+            )
 
-        assert [pair.events for pair in delta.ranking] == [
-            pair.events for pair in full
-        ]
-        assert [pair.score for pair in delta.ranking] == [
-            pair.score for pair in full
-        ]
-        assert [pair.verdict for pair in delta.ranking] == [
-            pair.verdict for pair in full
-        ]
-        stats = delta.stats
-        speedup = (
-            full_seconds / incremental_seconds
-            if incremental_seconds > 0 else float("inf")
-        )
-        speedups.append(speedup)
-        print(
-            f"\nchurn round {round_id}: full {full_seconds:.3f}s, incremental "
-            f"{incremental_seconds:.3f}s, speedup {speedup:.1f}x "
-            f"(columns {stats.columns_recomputed}/{stats.columns_total} "
-            f"recomputed, {stats.pairs_rescored} pairs re-scored)"
-        )
+            ranked = response["pairs"]
+            assert [(p["event_a"], p["event_b"]) for p in ranked] == [
+                pair.events for pair in full
+            ]
+            assert [p["score"] for p in ranked] == [pair.score for pair in full]
+            assert [p["verdict"] for p in ranked] == [
+                pair.verdict.value for pair in full
+            ]
+            speedup = (
+                full_seconds / incremental_seconds
+                if incremental_seconds > 0 else float("inf")
+            )
+            speedups.append(speedup)
+            print(
+                f"\nchurn round {round_id}: full {full_seconds:.3f}s, "
+                f"commit -> rank {incremental_seconds:.3f}s, speedup "
+                f"{speedup:.1f}x (columns {int(carried)} carried / "
+                f"{int(computed)} computed, {response['computed_pairs']} "
+                "pairs re-scored)"
+            )
+    finally:
+        session.close()
     assert max(speedups) >= 5.0
 
 
@@ -762,6 +784,48 @@ def test_parallel_engine_matches_serial_on_bench_workload():
 # *outside* the window in both), and every MVCC answer is asserted
 # bit-identical to a serial from-scratch reference at the epoch it reports.
 
+
+class _ReadWriteLock:
+    """Readers-writer lock: many concurrent ranks, exclusive commits.
+
+    Writer-preferring — a waiting commit blocks new readers — so a steady
+    rank load cannot starve stream updates.  This was the service's request
+    discipline before snapshot isolation; it survives only as this
+    benchmark's lock-serialised baseline.
+    """
+
+    def __init__(self) -> None:
+        self._condition = threading.Condition()
+        self._readers = 0
+        self._writer = False
+        self._writers_waiting = 0
+
+    def acquire_read(self) -> None:
+        with self._condition:
+            while self._writer or self._writers_waiting:
+                self._condition.wait()
+            self._readers += 1
+
+    def release_read(self) -> None:
+        with self._condition:
+            self._readers -= 1
+            if not self._readers:
+                self._condition.notify_all()
+
+    def acquire_write(self) -> None:
+        with self._condition:
+            self._writers_waiting += 1
+            while self._writer or self._readers:
+                self._condition.wait()
+            self._writers_waiting -= 1
+            self._writer = True
+
+    def release_write(self) -> None:
+        with self._condition:
+            self._writer = False
+            self._condition.notify_all()
+
+
 HTAP_DATASET = make_dblp_like(
     num_communities=10, community_size=30, num_positive_pairs=4,
     num_negative_pairs=3, num_background_keywords=10, random_state=11,
@@ -819,9 +883,7 @@ def _run_htap_scenario(lock_serialised):
     ``_ReadWriteLock`` — the pre-snapshot-isolation service discipline —
     on an otherwise identical engine.
     """
-    import threading
-
-    from repro.service.engine import ServiceEngine, _ReadWriteLock
+    from repro.service.engine import ServiceEngine
 
     dynamic = _htap_dynamic()
     schedule = _htap_schedule(dynamic)

@@ -45,10 +45,10 @@ import argparse
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import __version__
-from repro.core.batch import SORT_KEYS
+from repro.core.batch import SORT_KEYS, render_pair_records
 from repro.core.config import DEFAULT_TOPK_INITIAL_SAMPLE_SIZE, TescConfig
 from repro.core.parallel import ParallelBatchTescEngine, resolve_workers
 from repro.core.tesc import TescTester
@@ -542,10 +542,47 @@ def _command_topk(args: argparse.Namespace) -> int:
     return _print_topk(ranking, workers, args)
 
 
+def _ranking_changes(previous, current) -> List[Tuple[Dict, Dict]]:
+    """``(old, new)`` records of the pairs whose statistics moved, new order."""
+    old_of = {(pair["event_a"], pair["event_b"]): pair for pair in previous}
+    changes = []
+    for pair in current:
+        old = old_of.get((pair["event_a"], pair["event_b"]))
+        if old is None or any(
+            old[field] != pair[field]
+            for field in ("score", "z_score", "p_value", "verdict")
+        ):
+            changes.append((old, pair))
+    return changes
+
+
+def _render_changes(changes, markdown: bool) -> str:
+    if not changes:
+        return "no ranking changes"
+    table = TextTable(
+        ["event a", "event b", "old score", "new score",
+         "old verdict", "new verdict", "rank"]
+    )
+    for old, new in changes:
+        table.add_row(
+            [
+                new["event_a"],
+                new["event_b"],
+                "-" if old is None else f"{old['score']:+.4f}",
+                f"{new['score']:+.4f}",
+                "-" if old is None else old["verdict"],
+                new["verdict"],
+                new["rank"],
+            ]
+        )
+    return table.render(markdown=markdown)
+
+
 def _command_stream(args: argparse.Namespace) -> int:
     import threading
 
-    from repro.streaming import ContinuousRanker, DeltaLog, DynamicAttributedGraph
+    from repro.api import Session
+    from repro.streaming import DeltaLog, DynamicAttributedGraph
 
     graph, labels = read_edge_list(args.edges)
     label_to_id = {label: index for index, label in enumerate(labels)}
@@ -561,72 +598,85 @@ def _command_stream(args: argparse.Namespace) -> int:
     )
     pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
     log = DeltaLog.load(args.deltas)
-    workers = resolve_workers(args.workers)
+    # One session serves the replay and every --concurrent-queries reader:
+    # each query pins an epoch at admission, so the replay's commits never
+    # block it and never tear its view.
+    session = Session(dynamic, config=config, workers=args.workers)
 
-    # --concurrent-queries: snapshot-isolated readers racing the replay.
-    # Each thread loops rank() through a Session over the *same* dynamic
-    # graph; every query pins an epoch at admission, so the replay's commits
-    # never block it and never tear its view.
+    def shown(response) -> str:
+        # The diff runs over the full monitored ranking; --top-k trims only
+        # what is printed.
+        records = response["pairs"]
+        if args.top_k is not None:
+            records = records[: max(int(args.top_k), 0)]
+        return render_pair_records(records, args.markdown)
+
+    def columns() -> Tuple[float, float]:
+        # Lifetime counters: the difference across one commit -> rank also
+        # includes any concurrent reader that built the epoch's matrix.
+        value = session.metrics.value
+        return (
+            value("tesc_density_columns_total", source="carried"),
+            value("tesc_density_columns_total", source="computed"),
+        )
+
     stop = threading.Event()
     counts: List[int] = []
     epochs: set = set()
     epochs_lock = threading.Lock()
     query_threads: List[threading.Thread] = []
-    session = None
-    if args.concurrent_queries > 0:
-        from repro.api import Session
 
-        session = Session(dynamic, config=config)
+    def _query_loop(slot: int) -> None:
+        done = 0
+        while not stop.is_set():
+            response = session.rank(pairs, top_k=args.top_k)
+            done += 1
+            with epochs_lock:
+                epochs.add(response["epoch"])
+        counts[slot] = done
 
-        def _query_loop(slot: int) -> None:
-            done = 0
-            while not stop.is_set():
-                response = session.rank(pairs, top_k=args.top_k)
-                done += 1
-                with epochs_lock:
-                    epochs.add(response["epoch"])
-            counts[slot] = done
-
-        counts.extend(0 for _ in range(args.concurrent_queries))
-        for slot in range(args.concurrent_queries):
-            thread = threading.Thread(
-                target=_query_loop, args=(slot,),
-                name=f"tesc-stream-query-{slot}", daemon=True,
-            )
-            query_threads.append(thread)
-            thread.start()
+    counts.extend(0 for _ in range(args.concurrent_queries))
+    for slot in range(args.concurrent_queries):
+        thread = threading.Thread(
+            target=_query_loop, args=(slot,),
+            name=f"tesc-stream-query-{slot}", daemon=True,
+        )
+        query_threads.append(thread)
+        thread.start()
     commits = 0
     hung_readers: List[str] = []
     try:
-        with ContinuousRanker(
-            dynamic, pairs, config, workers=workers,
-            sort_by=args.sort_by, top_k=args.top_k,
-        ) as ranker:
-            initial = ranker.commit()
-            print("initial ranking:")
-            print(initial.ranking.render(markdown=args.markdown))
-            for number, batch in enumerate(log.replay(), start=1):
-                delta = ranker.commit(batch)
-                commits = number
-                stats = delta.stats
-                print()
-                print(
-                    f"commit {number}: {len(batch)} deltas, "
-                    f"{len(delta.changed)} pairs changed "
-                    f"({len(delta.verdict_flips)} verdict flips), "
-                    f"columns {stats.columns_recomputed} recomputed / "
-                    f"{stats.columns_reused} reused / {stats.columns_patched} patched, "
-                    f"pairs {stats.pairs_rescored} re-scored / "
-                    f"{stats.pairs_reused} reused"
-                )
-                print(delta.render(markdown=args.markdown))
+        current = session.rank(pairs, sort_by=args.sort_by)
+        print("initial ranking:")
+        print(shown(current))
+        for number, batch in enumerate(log.replay(), start=1):
+            carried, computed = columns()
+            session.commit(batch)
+            previous, current = current, session.rank(pairs, sort_by=args.sort_by)
+            commits = number
+            now_carried, now_computed = columns()
+            changes = _ranking_changes(previous["pairs"], current["pairs"])
+            flips = sum(
+                1 for old, new in changes
+                if old is None or old["verdict"] != new["verdict"]
+            )
+            print()
+            print(
+                f"commit {number}: {len(batch)} deltas, "
+                f"{len(changes)} pairs changed ({flips} verdict flips), "
+                f"columns {int(now_carried - carried)} carried / "
+                f"{int(now_computed - computed)} computed, "
+                f"pairs {current['computed_pairs']} re-scored / "
+                f"{current['cached_pairs']} cached"
+            )
+            print(_render_changes(changes, args.markdown))
     finally:
         stop.set()
         for thread in query_threads:
             thread.join(timeout=60.0)
             if thread.is_alive():
                 hung_readers.append(thread.name)
-        if session is not None and not hung_readers:
+        if not hung_readers:
             session.close()
     if hung_readers:
         # A reader that outlived its join window is wedged (deadlocked or
@@ -643,8 +693,8 @@ def _command_stream(args: argparse.Namespace) -> int:
         return 3
     print()
     print("final ranking:")
-    print(ranker.ranking.render(markdown=args.markdown))
-    if session is not None:
+    print(shown(current))
+    if query_threads:
         total = sum(counts)
         spread = f"{min(epochs)}..{max(epochs)}" if epochs else "-"
         print()

@@ -208,26 +208,32 @@ class PairRanking:
 
     def render(self, markdown: bool = False) -> str:
         """Human-readable ranking table."""
-        table = TextTable(
-            ["rank", "event a", "event b", "score", "z", "p-value", "verdict", "n"]
-        )
-        for pair in self.pairs:
-            table.add_row(
-                [
-                    pair.rank,
-                    pair.event_a,
-                    pair.event_b,
-                    f"{pair.score:+.4f}",
-                    f"{pair.z_score:+.2f}",
-                    f"{pair.p_value:.2e}",
-                    pair.verdict.value,
-                    pair.num_reference_nodes,
-                ]
-            )
-        return table.render(markdown=markdown)
+        return render_pair_records(self.as_records(), markdown=markdown)
 
     def __str__(self) -> str:
         return self.render()
+
+
+def render_pair_records(records, markdown: bool = False) -> str:
+    """A ranking table over pair records (``PairRanking.as_records`` shape,
+    which the service's ranking responses share)."""
+    table = TextTable(
+        ["rank", "event a", "event b", "score", "z", "p-value", "verdict", "n"]
+    )
+    for pair in records:
+        table.add_row(
+            [
+                pair["rank"],
+                pair["event_a"],
+                pair["event_b"],
+                f"{pair['score']:+.4f}",
+                f"{pair['z_score']:+.2f}",
+                f"{pair['p_value']:.2e}",
+                pair["verdict"],
+                pair["num_reference_nodes"],
+            ]
+        )
+    return table.render(markdown=markdown)
 
 
 PairSpec = Union[str, Sequence[Tuple[str, str]]]
@@ -271,9 +277,9 @@ def make_config_sampler(attributed: AttributedGraph, cfg: TescConfig):
     The single place that knows how a :class:`~repro.core.config.TescConfig`
     maps to a sampler instance (registry lookup, vicinity-index wiring,
     ``batch_per_vicinity``).  The batch engine wraps the result in a
-    :class:`~repro.sampling.cache.CachingSampler`; the streaming ranker's
+    :class:`~repro.sampling.cache.CachingSampler`; the service engine's
     :class:`~repro.sampling.cache.SampleMemo` calls this on every miss —
-    sharing the factory is what keeps an incremental redraw bit-identical
+    sharing the factory is what keeps a per-epoch redraw bit-identical
     to a from-scratch engine's draw.
     """
     vicinity_index = (
@@ -293,7 +299,7 @@ def make_config_sampler(attributed: AttributedGraph, cfg: TescConfig):
 def event_universe(attributed: AttributedGraph, events: Sequence[str]) -> np.ndarray:
     """The union node set ``V_U`` of the given events, sorted and distinct.
 
-    Shared by the batch engine and the streaming ranker so both derive the
+    Shared by the batch engine and the service engine so both derive the
     sampling universe with identical ordering.
     """
     arrays = [attributed.event_nodes(event) for event in events]
@@ -306,7 +312,7 @@ def resolve_pair_spec(event_names: Sequence[str], pairs: PairSpec) -> List[Tuple
     ``"all"`` expands to every unordered pair of ``event_names``; explicit
     sequences are validated (two distinct events per pair, at least one
     pair).  Shared by :class:`BatchTescEngine`, the parallel engine and the
-    streaming :class:`~repro.streaming.ranker.ContinuousRanker`.
+    :class:`~repro.service.engine.ServiceEngine`.
     """
     if isinstance(pairs, str):
         if pairs != "all":
@@ -350,8 +356,8 @@ def estimate_pair_list(
     """Per-pair estimates over a shared density matrix (unranked).
 
     This is the per-pair half of :meth:`BatchTescEngine.rank_pairs`, exposed
-    at module level so the parallel engine's worker shards and the streaming
-    ranker run exactly the same arithmetic on their slice of the pair
+    at module level so the parallel engine's worker shards and the service
+    engine run exactly the same arithmetic on their slice of the pair
     workload.
 
     ``batcher=None`` computes each pair directly with
@@ -359,8 +365,7 @@ def estimate_pair_list(
     vectors instead of gathering shared rank vectors.  The two paths are
     numerically identical (asserted in the estimator tests); the batcher
     amortises the rank encoding across many pairs sharing events, the plain
-    path wins when only a few pairs are being (re-)scored — the streaming
-    ranker's common case.  Both dispatch the concordance kernel through
+    path wins when only a few pairs are being (re-)scored.  Both dispatch the concordance kernel through
     ``cfg.kendall_kernel`` / ``cfg.kendall_crossover``.
     """
     results: List[RankedPair] = []
@@ -439,11 +444,6 @@ class BatchTescEngine:
 
     def __init__(self, attributed: AttributedGraph,
                  config: Optional[TescConfig] = None) -> None:
-        from repro.deprecation import warn_deprecated_construction
-
-        warn_deprecated_construction(
-            "BatchTescEngine", "open_session(graph, config).rank(...)"
-        )
         self.attributed = attributed
         self.config = config if config is not None else TescConfig()
         self._density_computer = DensityComputer(attributed.csr)
@@ -630,7 +630,7 @@ class BatchTescEngine:
         """Per-pair estimates over a shared density matrix (unranked).
 
         Delegates to the module-level :func:`estimate_pair_list`, which the
-        parallel engine's worker shards and the streaming ranker also call so
+        parallel engine's worker shards and the service engine also call so
         every execution mode runs exactly the same arithmetic.
         """
         return estimate_pair_list(

@@ -74,7 +74,7 @@ def densities_from_counts(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     ``counts`` is ``(num_events, n)`` int, ``sizes`` is ``(n,)`` int; empty
     vicinities yield density 0.  Kept as a module-level function so every
     producer of a :class:`DensityMatrix` — the batch engine's full pass and
-    the streaming ranker's incremental column assembly — performs the exact
+    the service engine's carried-column assembly — performs the exact
     same float arithmetic, which is what makes incrementally maintained
     densities bit-identical to freshly computed ones.
     """

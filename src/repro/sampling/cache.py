@@ -183,8 +183,8 @@ class SampleMemo:
         serving MVCC readers should accept an optional graph and default to
         the live one.
     max_entries:
-        Older entries are evicted beyond this count (the streaming ranker
-        normally needs exactly one live entry per monitored universe).
+        Older entries are evicted beyond this count (a commit stream
+        normally needs one live entry per queried universe and epoch).
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`; hit/miss totals are
         mirrored into ``tesc_sample_memo_{hits,misses}_total``.

@@ -16,8 +16,13 @@ Three layers of reuse keep the hot path cheap:
   bit-identical to what a freshly constructed in-process engine would draw
   at that graph state;
 * **Density matrices** (with their estimate batchers) are cached per
-  ``(config, universe, events, epoch)`` and computed through the persistent
-  worker pool when the engine runs with ``workers > 1``;
+  ``(config, universe, events, epoch)``.  A miss after a commit carries the
+  integer counts of every column the commits since a cached matrix over
+  the same events left structurally clean (each commit's
+  :class:`~repro.streaming.dirty.DirtyRegion` is journaled as it lands),
+  patches them by ``± 1`` for event toggles, and BFS-counts only the rest
+  — through the persistent worker pool when the engine runs with
+  ``workers > 1``;
 * **Per-pair results** are cached per ``(pair, config, universe, epoch)`` —
   the pair's estimate depends only on the shared sample (a function of the
   request universe, config and epoch) and the pair's two density rows, so
@@ -28,9 +33,7 @@ For a dynamic graph the epoch *is* the graph's commit epoch
 (:attr:`~repro.streaming.dynamic_graph.DynamicAttributedGraph.epoch` — one
 bump per effective commit); static graphs keep an internal version-watching
 counter and serve reads from the live object (nothing can move under them).
-Commits serialise on a plain mutex — the old readers-writer lock is gone
-from the request path (:class:`_ReadWriteLock` remains exported for the
-lock-serialised baseline the HTAP benchmark compares against).
+Commits serialise on a plain mutex and never wait for readers.
 
 Every answer is bit-identical to the serial in-process engines
 (:class:`~repro.core.batch.BatchTescEngine`,
@@ -48,6 +51,8 @@ from collections import OrderedDict
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.batch import (
     SORT_KEYS,
     BatchTescEngine,
@@ -61,7 +66,7 @@ from repro.core.batch import (
     resolve_pair_spec,
 )
 from repro.core.config import TescConfig
-from repro.core.density import DensityComputer, DensityMatrix
+from repro.core.density import DensityComputer, DensityMatrix, densities_from_counts
 from repro.core.estimators import PairEstimateBatcher
 from repro.core.parallel import estimate_matrix_pairs_sharded, resolve_workers
 from repro.events.attributed_graph import AttributedGraph
@@ -93,70 +98,12 @@ from repro.service.shm import unpublish_dataset
 from repro.storage.checkpoint import CheckpointStore, digest_string
 from repro.storage.recovery import RecoveryReport
 from repro.streaming.delta import DeltaBatch, WriteAheadLog
+from repro.streaming.dirty import DirtyRegion, DirtyTracker, carry_columns
 from repro.streaming.dynamic_graph import DynamicAttributedGraph
 from repro.streaming.snapshots import SnapshotLease
 from repro.utils import deadlines
 
 logger = logging.getLogger(__name__)
-
-
-class _ReadWriteLock:
-    """Readers-writer lock: many concurrent ranks, exclusive commits.
-
-    Writer-preferring — a waiting commit blocks new readers — so a steady
-    rank load cannot starve stream updates.
-
-    No longer on the service request path (snapshot isolation replaced it);
-    kept as the reference lock for the HTAP benchmark's lock-serialised
-    baseline and for callers that want coarse coordination.
-    """
-
-    def __init__(self) -> None:
-        self._condition = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    def acquire_read(self) -> None:
-        with self._condition:
-            while self._writer or self._writers_waiting:
-                self._condition.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._condition:
-            self._readers -= 1
-            if not self._readers:
-                self._condition.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._condition:
-            self._writers_waiting += 1
-            while self._writer or self._readers:
-                self._condition.wait()
-            self._writers_waiting -= 1
-            self._writer = True
-
-    def release_write(self) -> None:
-        with self._condition:
-            self._writer = False
-            self._condition.notify_all()
-
-    class _Guard:
-        def __init__(self, acquire, release):
-            self._acquire, self._release = acquire, release
-
-        def __enter__(self):
-            self._acquire()
-
-        def __exit__(self, *_exc):
-            self._release()
-
-    def read(self) -> "_ReadWriteLock._Guard":
-        return self._Guard(self.acquire_read, self.release_read)
-
-    def write(self) -> "_ReadWriteLock._Guard":
-        return self._Guard(self.acquire_write, self.release_write)
 
 
 def pair_record(pair: RankedPair) -> Dict[str, Any]:
@@ -306,6 +253,10 @@ class ServiceEngine:
         self._matrices: "OrderedDict[tuple, Tuple[DensityMatrix, PairEstimateBatcher]]" = (
             OrderedDict()
         )
+        # Dirty region of every commit that moved the epoch, at the default
+        # vicinity level: what lets a matrix miss carry clean columns over
+        # from an older cached matrix.
+        self._dirty = DirtyTracker(self.config.vicinity_level)
         self._results: "OrderedDict[tuple, RankedPair]" = OrderedDict()
         self._topk_cache: "OrderedDict[tuple, Dict[str, Any]]" = OrderedDict()
         # epoch -> snapshot whose shared-memory publication this engine may
@@ -356,6 +307,13 @@ class ServiceEngine:
         self._m_matrices = m.counter(
             "tesc_matrices_computed_total",
             "Shared density matrices computed (cache misses).",
+        )
+        self._m_density_columns = m.counter(
+            "tesc_density_columns_total",
+            "Density-matrix columns assembled on matrix cache misses, by "
+            "source: carried over from an older epoch's matrix, or computed "
+            "by a fresh vicinity count.",
+            labels=("source",),
         )
         self._m_pins = m.counter(
             "tesc_snapshots_pinned_total",
@@ -733,13 +691,19 @@ class ServiceEngine:
         universe_fp: str,
         epoch: int,
     ) -> Tuple[DensityMatrix, PairEstimateBatcher]:
-        """The epoch's density matrix over the request events, cached."""
+        """The epoch's density matrix over the request events, cached.
+
+        A miss carries clean columns over from an older cached matrix
+        (:meth:`_carry_source`) and counts only the rest; the densities of
+        the assembled integer counts are bit-identical to a full pass.
+        """
+        level = cfg.vicinity_level
         key = (
+            level, events, epoch,
             cfg.sampler, cfg.batch_per_vicinity,
             self._config_digest(cfg)[-1],
-            universe_fp, cfg.vicinity_level, cfg.sample_size,
+            universe_fp, cfg.sample_size,
             cfg.kendall_kernel, cfg.kendall_crossover,
-            events, epoch,
         )
         cached = self._matrices.get(key)
         if cached is not None:
@@ -748,36 +712,38 @@ class ServiceEngine:
         memo = self._memo(cfg)
         with stage("sampling"):
             sample = memo.sample(
-                universe, cfg.vicinity_level, cfg.sample_size,
-                epoch=epoch, graph=graph,
+                universe, level, cfg.sample_size, epoch=epoch, graph=graph,
             )
         ensure_uniform_sample(sample, cfg.sampler)
-        with stage("density", workers=self.workers):
-            matrix = None
-            if (
-                self.workers > 1
-                and sample.nodes.size > 1
-                and self.supervisor.allow()
-            ):
-                from repro.service.pool import pooled_density_matrix
-
-                self._note_published(epoch, graph)
-                try:
-                    matrix, _bfs = pooled_density_matrix(
-                        global_pool(), graph, sample.nodes, events,
-                        cfg.vicinity_level, self.workers,
+        nodes = np.asarray(sample.nodes, dtype=np.int64)
+        with stage("density", workers=self.workers) as span:
+            source = self._carry_source(level, events, epoch)
+            if source is None:
+                matrix = self._count_columns(graph, nodes, events, level, epoch)
+                carried = 0
+            else:
+                counts, sizes, clean = carry_columns(*source, events, nodes)
+                missing = np.flatnonzero(~clean)
+                if missing.size:
+                    fresh = self._count_columns(
+                        graph, nodes[missing], events, level, epoch
                     )
-                except (WorkerCrashedError, OSError) as exc:
-                    self.supervisor.record_failure(exc)
-                    self._m_pool_fallbacks.inc()
-                else:
-                    self.supervisor.record_success()
-            if matrix is None:
-                computer = DensityComputer(graph.csr)
-                indicators = graph.indicator_matrix(list(events))
-                matrix = computer.density_matrix(
-                    sample.nodes, indicators, cfg.vicinity_level
+                    counts[:, missing] = fresh.counts
+                    sizes[missing] = fresh.vicinity_sizes
+                matrix = DensityMatrix(
+                    reference_nodes=nodes,
+                    densities=densities_from_counts(counts, sizes),
+                    counts=counts,
+                    vicinity_sizes=sizes,
+                    level=int(level),
                 )
+                carried = int(nodes.size - missing.size)
+            if span is not None:
+                span.tags["carried_columns"] = carried
+        self._m_density_columns.labels(source="carried").inc(carried)
+        self._m_density_columns.labels(source="computed").inc(
+            nodes.size - carried
+        )
         batcher = PairEstimateBatcher(
             matrix.densities,
             kernel=cfg.kendall_kernel,
@@ -788,6 +754,67 @@ class ServiceEngine:
         self._matrices[key] = (matrix, batcher)
         self._m_matrices.inc()
         return matrix, batcher
+
+    def _carry_source(
+        self, level: int, events: Tuple[str, ...], epoch: int
+    ) -> Optional[Tuple[DensityMatrix, List[DirtyRegion]]]:
+        """The newest cached matrix ``epoch`` can carry columns from.
+
+        That is a matrix in the LRU over the same ``(vicinity_level,
+        events)`` at an epoch ``E' < epoch``, returned with the journaled
+        regions of every commit in ``(E', epoch]``.  ``None`` — recompute
+        everything — when there is no such matrix, the level is not the
+        journal's, or any epoch in the span is missing from the journal (an
+        out-of-band mutation, a static graph's version bump, or a span
+        longer than the bounded journal).
+
+        Caller holds ``_miss_lock``, which guards the LRU.  The journal is
+        written under ``_commit_lock`` and the graph's mutation lock, before
+        any reader can pin the new epoch; each read is one dict lookup of an
+        immutable region, so a concurrent commit can make an entry appear or
+        age out but never shows half of one.
+        """
+        if level != self._dirty.level:
+            return None
+        source_epoch, source = -1, None
+        for key, (matrix, _batcher) in self._matrices.items():
+            if key[:2] == (level, events) and source_epoch < key[2] < epoch:
+                source_epoch, source = key[2], matrix
+        if source is None:
+            return None
+        regions = []
+        for span_epoch in range(source_epoch + 1, epoch + 1):
+            region = self._dirty.region_at(span_epoch)
+            if region is None:
+                return None
+            regions.append(region)
+        return source, regions
+
+    def _count_columns(
+        self,
+        graph: AttributedGraph,
+        nodes: np.ndarray,
+        events: Tuple[str, ...],
+        level: int,
+        epoch: int,
+    ) -> DensityMatrix:
+        """BFS-count the density columns of ``nodes`` (pooled when allowed)."""
+        if self.workers > 1 and nodes.size > 1 and self.supervisor.allow():
+            from repro.service.pool import pooled_density_matrix
+
+            self._note_published(epoch, graph)
+            try:
+                matrix, _bfs = pooled_density_matrix(
+                    global_pool(), graph, nodes, events, level, self.workers,
+                )
+            except (WorkerCrashedError, OSError) as exc:
+                self.supervisor.record_failure(exc)
+                self._m_pool_fallbacks.inc()
+            else:
+                self.supervisor.record_success()
+                return matrix
+        indicators = graph.indicator_matrix(list(events))
+        return DensityComputer(graph.csr).density_matrix(nodes, indicators, level)
 
     # -- topk ----------------------------------------------------------------
 
@@ -987,8 +1014,18 @@ class ServiceEngine:
                             ) from exc
                     self._m_wal_commits.inc()
                 self._m_commits.inc()
-                with stage("apply"):
-                    applied = self.graph.apply(batch)
+                # Journaling under the graph's mutation lock keeps the new
+                # epoch unpinnable until its region is in the journal; a
+                # reader admitted first would find no region and recount
+                # every column.
+                with self.graph._mutate_lock:
+                    with stage("apply"):
+                        applied = self.graph.apply(batch)
+                    if applied.changed:
+                        # A no-op batch reports the unchanged epoch:
+                        # journaling it would overwrite that epoch's region.
+                        with stage("journal"):
+                            self._dirty.region(applied, epoch=applied.epoch)
                 epoch = applied.epoch
                 result = {
                     "epoch": epoch,

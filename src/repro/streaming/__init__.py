@@ -12,12 +12,16 @@ The subsystem has four layers:
 * :mod:`repro.streaming.dirty` — :class:`DirtyTracker`, mapping each applied
   batch to the invalidated reference rows (structural recomputes within
   ``h - 1`` hops of a touched endpoint, in-place ``± 1`` count patches for
-  event toggles);
-* :mod:`repro.streaming.ranker` — :class:`ContinuousRanker`, the standing
-  monitored-pair ranking whose :meth:`~ContinuousRanker.commit` re-scores
-  only the dirtied pairs and returns a :class:`RankingDelta`, while staying
-  bit-identical to a fresh static :class:`~repro.core.batch.BatchTescEngine`
-  run with the same seed.
+  event toggles), journaled per epoch, and
+  :func:`~repro.streaming.dirty.carry_columns`, which the
+  :class:`~repro.service.engine.ServiceEngine` matrix layer uses to carry a
+  cached density matrix's clean columns across commits;
+* :mod:`repro.streaming.snapshots` — the copy-on-write epoch snapshots and
+  lease table that let readers pin a frozen state while commits land.
+
+Continuous re-ranking is ``open_session(dynamic).commit(...)`` followed by
+``rank(...)``: every answer stays bit-identical to a fresh static
+:class:`~repro.core.batch.BatchTescEngine` run with the same seed.
 """
 
 from repro.streaming.delta import (
@@ -28,17 +32,9 @@ from repro.streaming.delta import (
 )
 from repro.streaming.dirty import DirtyRegion, DirtyTracker, EventPatch
 from repro.streaming.dynamic_graph import AppliedBatch, DynamicAttributedGraph
-from repro.streaming.ranker import (
-    CommitStats,
-    ContinuousRanker,
-    PairChange,
-    RankingDelta,
-)
 
 __all__ = [
     "AppliedBatch",
-    "CommitStats",
-    "ContinuousRanker",
     "Delta",
     "DeltaBatch",
     "DeltaError",
@@ -47,6 +43,4 @@ __all__ = [
     "DirtyTracker",
     "DynamicAttributedGraph",
     "EventPatch",
-    "PairChange",
-    "RankingDelta",
 ]

@@ -14,19 +14,22 @@ The density column of a reference node ``r`` — the numerators
   Structurally *clean* columns need no BFS for this: the affected count is
   patched in place by ``± 1``.
 
-:class:`DirtyTracker` computes both regions with Batch BFS and hands them to
-the :class:`~repro.streaming.ranker.ContinuousRanker`, which drops the
-structurally dirty columns from its cache and patches the rest.
+:class:`DirtyTracker` computes both regions with Batch BFS and journals them
+per epoch.  The :class:`~repro.service.engine.ServiceEngine` matrix layer
+journals every commit and, on a density-matrix miss, hands the regions since
+an older cached matrix to :func:`carry_columns`, which copies that matrix's
+structurally clean columns and patches them; only the rest are recomputed.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.density import DensityMatrix
 from repro.graph.traversal import BFSEngine, dirty_vicinity
 from repro.streaming.dynamic_graph import AppliedBatch
 from repro.utils.validation import check_vicinity_level
@@ -75,12 +78,12 @@ class DirtyTracker:
     Parameters
     ----------
     level:
-        The vicinity level ``h`` the downstream ranker scores at.
+        The vicinity level ``h`` the downstream density columns use.
     journal_size:
         Regions computed with an ``epoch`` tag are kept in a bounded
-        per-epoch journal so snapshot-pinned consumers (debugging a commit
-        after the fact, incremental catch-up from a pinned epoch) can
-        re-read what a commit invalidated without replaying its BFS.
+        per-epoch journal so snapshot-pinned consumers (catching a cached
+        density matrix up from an older epoch) can re-read what each commit
+        invalidated without replaying its BFS.
     """
 
     def __init__(self, level: int, journal_size: int = 16) -> None:
@@ -145,3 +148,45 @@ class DirtyTracker:
             while len(self._journal) > self.journal_size:
                 self._journal.popitem(last=False)
         return region
+
+
+def carry_columns(
+    source: DensityMatrix,
+    regions: Sequence[DirtyRegion],
+    events: Sequence[str],
+    nodes: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Carry a density matrix's clean columns across journaled commits.
+
+    ``source`` is a density matrix over ``events`` at an older epoch and ``regions`` the dirty regions of every
+    commit since, oldest first.  Returns ``(counts, sizes, clean)`` over
+    ``nodes``: ``clean`` flags the nodes ``source`` has a column for that no
+    region marks structurally dirty; their integer counts and vicinity sizes
+    are copied and every event toggle that reaches them is applied by
+    ``± 1`` (a clean ``V^h_r`` is the same at every epoch of the span, so
+    ``r ∈ V^h_x`` exactly when ``x ∈ V^h_r``).  Other columns are left zero
+    for the caller to count.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    known = source.reference_nodes
+    counts = np.zeros((len(events), nodes.size), dtype=np.int64)
+    sizes = np.zeros(nodes.size, dtype=np.int64)
+    if known.size == 0:
+        return counts, sizes, np.zeros(nodes.size, dtype=bool)
+    order = np.argsort(known)
+    column = order[
+        np.minimum(np.searchsorted(known, nodes, sorter=order), known.size - 1)
+    ]
+    dirty = np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [region.structure for region in regions]
+    )
+    clean = (known[column] == nodes) & ~np.isin(nodes, dirty)
+    counts[:, clean] = source.counts[:, column[clean]]
+    sizes[clean] = source.vicinity_sizes[column[clean]]
+    row_of = {event: row for row, event in enumerate(events)}
+    for region in regions:
+        for patch in region.event_patches:
+            row = row_of.get(patch.event)
+            if row is not None:
+                counts[row, clean & np.isin(nodes, patch.region)] += patch.sign
+    return counts, sizes, clean

@@ -13,14 +13,9 @@ The contracts under test, from the snapshot-isolation design:
 
 import threading
 
-import pytest
-
 from repro.core.batch import BatchTescEngine
 from repro.service.engine import ServiceEngine, pair_record
 from repro.streaming import Delta, DynamicAttributedGraph
-
-# The serial oracle is constructed directly on purpose here.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _fresh_dynamic(service_dataset):

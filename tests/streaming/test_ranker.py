@@ -1,21 +1,28 @@
-"""ContinuousRanker tests.
+"""Streaming re-ranking through ``Session.commit -> Session.rank``.
 
 The centrepiece is the equivalence property suite: after *any* sequence of
-delta batches, the streaming ranking must be bit-identical — scores,
+delta batches, the session's ranking must be bit-identical — scores,
 z-scores, p-values, verdicts, ranks — to a fresh
-:class:`~repro.core.batch.BatchTescEngine` run on the equivalent static graph
-with the same seed, across samplers and worker counts.
+:class:`~repro.core.batch.BatchTescEngine` run on the graph at the answering
+epoch with the same seed (``reference_ranking``), across samplers and worker
+counts, while the engine carries clean density columns from epoch to epoch.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchTescEngine
+from repro.api import Session
 from repro.core.config import TescConfig
 from repro.datasets.synthetic_dblp import make_dblp_like
 from repro.datasets.synthetic_twitter import make_twitter_like
 from repro.exceptions import ConfigurationError
-from repro.streaming import ContinuousRanker, Delta, DynamicAttributedGraph
+from repro.service.protocol import BadRequestError
+from repro.streaming import Delta, DynamicAttributedGraph
+
+FIELDS = (
+    "event_a", "event_b", "rank", "score", "z_score", "p_value", "verdict",
+    "num_reference_nodes",
+)
 
 
 def _random_batch(rng, dynamic, events, num_edges=4, num_events=2):
@@ -41,31 +48,43 @@ def _random_batch(rng, dynamic, events, num_edges=4, num_events=2):
     return deltas
 
 
-def _assert_matches_static(ranking, dynamic, pairs, config, sort_by="score"):
-    static = BatchTescEngine(dynamic.snapshot(), config).rank_pairs(
-        pairs, sort_by=sort_by
+def columns(session):
+    """``(carried, computed)`` density-column counters of the session."""
+    value = session.metrics.value
+    return (
+        value("tesc_density_columns_total", source="carried"),
+        value("tesc_density_columns_total", source="computed"),
     )
-    assert [p.events for p in ranking] == [p.events for p in static]
-    assert [p.rank for p in ranking] == [p.rank for p in static]
-    assert [p.score for p in ranking] == [p.score for p in static]
-    assert [p.z_score for p in ranking] == [p.z_score for p in static]
-    assert [p.p_value for p in ranking] == [p.p_value for p in static]
-    assert [p.verdict for p in ranking] == [p.verdict for p in static]
-    assert [p.num_reference_nodes for p in ranking] == [
-        p.num_reference_nodes for p in static
+
+
+def _assert_matches_reference(session, response, pairs, sort_by="score",
+                              top_k=None):
+    reference = session.reference_ranking(
+        pairs, top_k=top_k, sort_by=sort_by, at_epoch=response["epoch"]
+    )
+    expected = [
+        (p.event_a, p.event_b, p.rank, p.score, p.z_score, p.p_value,
+         p.verdict.value, p.num_reference_nodes)
+        for p in reference
     ]
+    got = [tuple(record[field] for field in FIELDS) for record in response["pairs"]]
+    assert got == expected
+
+
+def _dblp():
+    return make_dblp_like(
+        num_communities=10, community_size=40, num_positive_pairs=2,
+        num_negative_pairs=2, num_background_keywords=4, random_state=31,
+    )
 
 
 class TestEquivalenceProperty:
-    """Satellite: random delta sequences stay bit-identical to static re-rank."""
+    """Random delta sequences stay bit-identical to a from-scratch rank."""
 
     @pytest.mark.parametrize("sampler", ["batch_bfs", "whole_graph", "exhaustive"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_dblp_like_stream(self, sampler, workers):
-        dataset = make_dblp_like(
-            num_communities=10, community_size=40, num_positive_pairs=2,
-            num_negative_pairs=2, num_background_keywords=4, random_state=31,
-        )
+        dataset = _dblp()
         dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
         pairs = (
             dataset.positive_pairs
@@ -77,12 +96,13 @@ class TestEquivalenceProperty:
             vicinity_level=1, sample_size=120, sampler=sampler, random_state=7,
         )
         rng = np.random.default_rng(100 + workers)
-        with ContinuousRanker(dynamic, pairs, config, workers=workers) as ranker:
-            _assert_matches_static(ranker.commit().ranking, dynamic, pairs, config)
+        with Session(dynamic, config, workers=workers) as session:
+            _assert_matches_reference(session, session.rank(pairs), pairs)
             for _ in range(4):
-                batch = _random_batch(rng, dynamic, events)
-                delta = ranker.commit(batch)
-                _assert_matches_static(delta.ranking, dynamic, pairs, config)
+                session.commit(_random_batch(rng, dynamic, events))
+                _assert_matches_reference(session, session.rank(pairs), pairs)
+            carried, _computed = columns(session)
+        assert carried > 0
 
     @pytest.mark.parametrize("sampler", ["batch_bfs", "whole_graph"])
     def test_twitter_like_stream(self, sampler):
@@ -96,12 +116,13 @@ class TestEquivalenceProperty:
         config = TescConfig(
             vicinity_level=2, sample_size=100, sampler=sampler, random_state=23,
         )
-        with ContinuousRanker(dynamic, "all", config) as ranker:
-            _assert_matches_static(ranker.commit().ranking, dynamic, "all", config)
+        with Session(dynamic, config) as session:
+            _assert_matches_reference(session, session.rank(), "all")
             for _ in range(3):
-                batch = _random_batch(rng, dynamic, list(events), num_edges=6)
-                delta = ranker.commit(batch)
-                _assert_matches_static(delta.ranking, dynamic, "all", config)
+                session.commit(
+                    _random_batch(rng, dynamic, list(events), num_edges=6)
+                )
+                _assert_matches_reference(session, session.rank(), "all")
 
     def test_worker_counts_agree_exactly(self):
         dataset = make_dblp_like(
@@ -124,136 +145,143 @@ class TestEquivalenceProperty:
             dynamic = DynamicAttributedGraph(
                 dataset.graph.copy(), dataset.attributed.events.copy()
             )
-            with ContinuousRanker(dynamic, "all", config, workers=workers) as ranker:
-                ranker.commit()
+            with Session(dynamic, config, workers=workers) as session:
+                session.rank()
                 for batch in batches:
-                    final = ranker.commit(batch)
-                rankings[workers] = final.ranking
-        assert [p.score for p in rankings[1]] == [p.score for p in rankings[2]]
-        assert [p.events for p in rankings[1]] == [p.events for p in rankings[2]]
-        assert [p.verdict for p in rankings[1]] == [p.verdict for p in rankings[2]]
+                    session.commit(batch)
+                    final = session.rank()
+                rankings[workers] = final["pairs"]
+        assert rankings[1] == rankings[2]
 
 
 class TestIncrementalBehaviour:
     @pytest.fixture
     def dataset(self):
-        return make_dblp_like(
-            num_communities=10, community_size=40, num_positive_pairs=2,
-            num_negative_pairs=2, num_background_keywords=4, random_state=31,
-        )
+        return _dblp()
 
     def test_first_commit_reports_every_pair_as_new(self, dataset):
+        """The first rank computes every column and scores every pair."""
         dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
         config = TescConfig(sample_size=100, random_state=3)
-        ranker = ContinuousRanker(dynamic, "all", config)
-        delta = ranker.commit()
-        assert len(delta.changed) == len(delta.ranking)
-        assert all(change.is_new for change in delta.changed)
-        assert delta.stats.columns_recomputed == delta.stats.columns_total
+        with Session(dynamic, config) as session:
+            response = session.rank()
+            carried, computed = columns(session)
+        assert carried == 0 and computed > 0
+        assert response["computed_pairs"] == len(response["pairs"])
+        assert response["cached_pairs"] == 0
 
     def test_empty_commit_changes_nothing(self, dataset):
         dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
         config = TescConfig(sample_size=100, random_state=3)
-        ranker = ContinuousRanker(dynamic, "all", config)
-        ranker.commit()
-        delta = ranker.commit()
-        assert len(delta.changed) == 0
-        assert delta.stats.columns_recomputed == 0
-        assert delta.stats.pairs_rescored == 0
-        assert not delta.stats.sample_redrawn
-        assert "no ranking changes" in delta.render()
+        with Session(dynamic, config) as session:
+            first = session.rank()
+            before = columns(session)
+            receipt = session.commit([])
+            again = session.rank()
+            assert columns(session) == before
+        assert receipt["epoch"] == first["epoch"]
+        assert not receipt["changed"]
+        assert again["pairs"] == first["pairs"]
+        assert again["computed_pairs"] == 0
 
-    def test_localised_edit_reuses_columns_and_pairs(self, dataset):
+    def test_localised_edit_carries_every_column(self, dataset):
         dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
         config = TescConfig(sample_size=150, random_state=3)
         pairs = dataset.positive_pairs + dataset.negative_pairs
-        ranker = ContinuousRanker(dynamic, pairs, config)
-        ranker.commit()
-        # Toggle one occurrence of one monitored event: no structural change,
-        # so no column needs a BFS — counts are patched in place.
-        event = dataset.positive_pairs[0][0]
-        node = int(dynamic.event_nodes(event)[0])
-        delta = ranker.commit([Delta.event_detach(event, node)])
-        assert delta.stats.columns_recomputed == 0
-        assert delta.stats.pairs_reused > 0
-        _assert_matches_static(delta.ranking, dynamic, pairs, config)
+        with Session(dynamic, config) as session:
+            session.rank(pairs)
+            _carried, computed = columns(session)
+            # Toggle one occurrence of one monitored event: no structural
+            # change, so no column needs a BFS — counts are patched in place.
+            event = dataset.positive_pairs[0][0]
+            node = int(dynamic.event_nodes(event)[0])
+            session.commit([Delta.event_detach(event, node)])
+            response = session.rank(pairs)
+            assert columns(session)[1] == computed
+            _assert_matches_reference(session, response, pairs)
 
     def test_unmonitored_event_toggle_keeps_sample(self, dataset):
         dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
         config = TescConfig(sample_size=100, random_state=3)
-        ranker = ContinuousRanker(dynamic, dataset.positive_pairs, config)
-        ranker.commit()
-        delta = ranker.commit([Delta.event_attach("bg_0", 5)])
-        assert not delta.stats.sample_redrawn
-        assert len(delta.changed) == 0
+        pairs = dataset.positive_pairs
+        with Session(dynamic, config) as session:
+            first = session.rank(pairs)
+            _carried, computed = columns(session)
+            session.commit([Delta.event_attach("bg_0", 5)])
+            after = session.rank(pairs)
+            assert columns(session)[1] == computed
+        assert after["epoch"] == first["epoch"] + 1
+        assert after["pairs"] == first["pairs"]
 
     def test_out_of_band_mutation_is_detected(self, dataset):
         dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
         config = TescConfig(sample_size=100, random_state=3)
         pairs = dataset.positive_pairs + dataset.negative_pairs
-        ranker = ContinuousRanker(dynamic, pairs, config)
-        ranker.commit()
-        # Mutate behind the ranker's back, then commit an empty batch: the
-        # ranker must notice the version drift and still match static.
-        u, v = next(iter(dynamic.csr.edges()))
-        dynamic.apply([Delta.edge_remove(u, v)])
-        delta = ranker.commit()
-        _assert_matches_static(delta.ranking, dynamic, pairs, config)
+        with Session(dynamic, config) as session:
+            session.rank(pairs)
+            # Mutate behind the session's back: the epoch moves without a
+            # journaled region, so the next rank must not carry columns.
+            u, v = next(iter(dynamic.csr.edges()))
+            dynamic.apply([Delta.edge_remove(u, v)])
+            _assert_matches_reference(session, session.rank(pairs), pairs)
 
     def test_watch_and_unwatch(self, dataset):
+        """Growing and shrinking the requested pair set between commits."""
         dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
         config = TescConfig(sample_size=100, random_state=3)
-        ranker = ContinuousRanker(dynamic, dataset.positive_pairs, config)
-        ranker.commit()
-        ranker.watch([("bg_0", "bg_1")])
-        delta = ranker.commit()
-        assert ("bg_0", "bg_1") in [p.events for p in delta.ranking]
-        _assert_matches_static(
-            delta.ranking, dynamic,
-            dataset.positive_pairs + [("bg_0", "bg_1")], config,
-        )
-        ranker.unwatch([("bg_0", "bg_1")])
-        delta = ranker.commit()
-        assert ("bg_0", "bg_1") not in [p.events for p in delta.ranking]
+        watched = dataset.positive_pairs + [("bg_0", "bg_1")]
+        rng = np.random.default_rng(9)
+        with Session(dynamic, config) as session:
+            session.rank(dataset.positive_pairs)
+            session.commit(_random_batch(rng, dynamic, ["bg_0", "bg_1"]))
+            response = session.rank(watched)
+            assert ("bg_0", "bg_1") in [
+                (p["event_a"], p["event_b"]) for p in response["pairs"]
+            ]
+            _assert_matches_reference(session, response, watched)
+            session.commit(_random_batch(rng, dynamic, ["bg_0", "bg_1"]))
+            response = session.rank(dataset.positive_pairs)
+            assert ("bg_0", "bg_1") not in [
+                (p["event_a"], p["event_b"]) for p in response["pairs"]
+            ]
+            _assert_matches_reference(session, response, dataset.positive_pairs)
 
     def test_top_k_trims_public_ranking_only(self, dataset):
         dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
         config = TescConfig(sample_size=100, random_state=3)
-        ranker = ContinuousRanker(dynamic, "all", config, top_k=2)
-        delta = ranker.commit()
-        assert len(delta.ranking) == 2
-        event = dataset.positive_pairs[0][0]
-        node = int(dynamic.event_nodes(event)[0])
-        delta = ranker.commit([Delta.event_detach(event, node)])
-        static = BatchTescEngine(dynamic.snapshot(), config).rank_pairs(
-            "all", top_k=2
-        )
-        assert [p.events for p in delta.ranking] == [p.events for p in static]
-        assert [p.score for p in delta.ranking] == [p.score for p in static]
+        with Session(dynamic, config) as session:
+            assert len(session.rank(top_k=2)["pairs"]) == 2
+            event = dataset.positive_pairs[0][0]
+            node = int(dynamic.event_nodes(event)[0])
+            session.commit([Delta.event_detach(event, node)])
+            response = session.rank(top_k=2)
+            _assert_matches_reference(session, response, "all", top_k=2)
 
     def test_verdict_flip_surfaces_in_delta(self, dataset):
         dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
         config = TescConfig(sample_size=150, random_state=3)
         pair = dataset.positive_pairs[0]
-        ranker = ContinuousRanker(dynamic, [pair], config)
-        first = ranker.commit()
-        assert first.ranking[0].verdict.value == "positive"
-        # Detaching every occurrence of one side forces the pair to
-        # insufficient/independent — a verdict flip the delta must surface.
-        nodes = [int(n) for n in dynamic.event_nodes(pair[0])]
-        delta = ranker.commit([Delta.event_detach(pair[0], n) for n in nodes])
-        assert len(delta.verdict_flips) == 1
-        _assert_matches_static(delta.ranking, dynamic, [pair], config)
+        with Session(dynamic, config) as session:
+            first = session.rank([pair])
+            assert first["pairs"][0]["verdict"] == "positive"
+            # Detaching every occurrence of one side forces the pair to
+            # insufficient/independent — a verdict flip between the answers.
+            nodes = [int(n) for n in dynamic.event_nodes(pair[0])]
+            session.commit([Delta.event_detach(pair[0], n) for n in nodes])
+            response = session.rank([pair])
+            assert response["pairs"][0]["verdict"] != "positive"
+            _assert_matches_reference(session, response, [pair])
 
 
 class TestValidation:
-    def test_requires_dynamic_graph(self, dataset=None):
+    def test_requires_dynamic_graph(self):
         data = make_dblp_like(
             num_communities=8, community_size=20, num_positive_pairs=1,
             num_negative_pairs=1, num_background_keywords=0, random_state=1,
         )
-        with pytest.raises(ConfigurationError):
-            ContinuousRanker(data.attributed, "all")
+        with Session(data.attributed) as session:
+            with pytest.raises(BadRequestError):
+                session.commit([Delta.edge_add(0, 1)])
 
     def test_rejects_weighted_samplers(self):
         data = make_dblp_like(
@@ -262,7 +290,7 @@ class TestValidation:
         )
         dynamic = DynamicAttributedGraph(data.graph, data.attributed.events)
         with pytest.raises(ConfigurationError):
-            ContinuousRanker(dynamic, "all", TescConfig(sampler="importance"))
+            Session(dynamic, TescConfig(sampler="importance"))
 
     def test_rejects_bad_sort_key(self):
         data = make_dblp_like(
@@ -270,5 +298,6 @@ class TestValidation:
             num_negative_pairs=1, num_background_keywords=0, random_state=1,
         )
         dynamic = DynamicAttributedGraph(data.graph, data.attributed.events)
-        with pytest.raises(ConfigurationError):
-            ContinuousRanker(dynamic, "all", sort_by="banana")
+        with Session(dynamic) as session:
+            with pytest.raises(ConfigurationError):
+                session.rank(sort_by="banana")

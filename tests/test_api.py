@@ -1,4 +1,4 @@
-"""Tests for the public Session façade (repro.api) and deprecation shims."""
+"""Tests for the public Session façade (repro.api)."""
 
 import warnings
 
@@ -6,13 +6,11 @@ import pytest
 
 import repro
 from repro import EpochView, Session, TescConfig, open_session
-from repro.core.batch import BatchTescEngine
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import SnapshotExpiredError
 from repro.graph.generators import community_ring_graph
 from repro.service.protocol import BadRequestError
 from repro.streaming import DynamicAttributedGraph
-from repro.streaming.ranker import ContinuousRanker
 
 
 EVENTS = {"a": range(0, 40), "b": range(20, 60), "c": range(120, 160)}
@@ -154,32 +152,8 @@ class TestEpochView:
 
 
 class TestDeprecationShims:
-    def _graph(self):
-        graph = community_ring_graph(6, 30, 5.0, 8, random_state=2)
-        return AttributedGraph(graph, EVENTS)
-
-    def test_batch_engine_construction_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            BatchTescEngine(self._graph(), _config())
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("open_session" in message for message in messages)
-
-    def test_continuous_ranker_construction_warns(self):
-        dynamic = DynamicAttributedGraph(
-            community_ring_graph(6, 30, 5.0, 8, random_state=2), EVENTS
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ContinuousRanker(dynamic, "all", _config())
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("open_session" in message for message in messages)
-
     def test_session_reads_do_not_warn(self, session):
-        # The façade constructs the engines internally; internal callers
-        # must not trip the shim.
+        # The engine shims are gone; the façade's reads must stay silent.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             session.rank()

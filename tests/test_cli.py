@@ -339,7 +339,6 @@ class TestStreamCommand:
         assert "final ranking" in output
         assert "re-scored" in output
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_stream_matches_static_rank_after_replay(self, files, capsys):
         """The final streamed ranking equals a static rank of the final graph."""
         from repro.core.batch import BatchTescEngine
